@@ -38,38 +38,6 @@ def load_record(path: pathlib.Path) -> dict:
     return json.loads(path.read_text())
 
 
-def store_baseline_records(store_path: Optional[pathlib.Path]) -> Dict[str, dict]:
-    """Latest stored ``bench`` run per record name, shaped like BENCH files.
-
-    ``repro sweep --store`` appends each BENCH record to the SQLite results
-    store under kind ``bench`` with the record's file name as label; when the
-    store exists, the newest row per name becomes the gate's baseline —
-    preferred over the snapshot directory because it tracks the actual
-    measured history instead of whatever was last committed.  Reads the
-    database directly with stdlib ``sqlite3`` so the gate stays runnable
-    without the repro package on the path.
-    """
-    if store_path is None or not store_path.exists():
-        return {}
-    import sqlite3
-
-    try:
-        with sqlite3.connect(str(store_path)) as connection:
-            rows = connection.execute(
-                "SELECT label, metrics FROM runs WHERE kind = 'bench' "
-                "AND run_id IN (SELECT MAX(run_id) FROM runs WHERE kind = 'bench' "
-                "GROUP BY label)").fetchall()
-    except sqlite3.Error:
-        return {}
-    records = {}
-    for label, metrics in rows:
-        try:
-            records[label] = json.loads(metrics)
-        except (TypeError, ValueError):
-            continue
-    return records
-
-
 def events_per_second(record: dict) -> Optional[float]:
     """The record's ``events_per_second``, ``None`` when absent.
 
@@ -95,16 +63,10 @@ def bytes_per_decision(record: dict) -> Optional[Dict[str, float]]:
 
 def compare_records(baseline_dir: pathlib.Path, current_dir: pathlib.Path,
                     max_drop: float, names: Sequence[str] = ("BENCH_*.json",),
-                    max_bytes_growth: float = 0.10, out=sys.stdout,
-                    store: Optional[pathlib.Path] = None) -> int:
-    """Compare every matching record pair; returns the process exit code.
-
-    When ``store`` names an existing results database, its latest ``bench``
-    row per record overrides the file in ``baseline_dir`` as the baseline.
-    """
+                    max_bytes_growth: float = 0.10, out=sys.stdout) -> int:
+    """Compare every matching record pair; returns the process exit code."""
     compared = 0
     regressions: List[str] = []
-    store_records = store_baseline_records(store)
     baselines = sorted({path for pattern in names
                         for path in baseline_dir.glob(pattern)})
     for baseline_path in baselines:
@@ -112,11 +74,7 @@ def compare_records(baseline_dir: pathlib.Path, current_dir: pathlib.Path,
         if not current_path.exists():
             print(f"SKIP {baseline_path.name}: not regenerated by this run", file=out)
             continue
-        baseline_record = store_records.get(baseline_path.name)
-        if baseline_record is not None:
-            print(f"NOTE {baseline_path.name}: baseline from results store", file=out)
-        else:
-            baseline_record = load_record(baseline_path)
+        baseline_record = load_record(baseline_path)
         current_record = load_record(current_path)
 
         baseline = events_per_second(baseline_record)
@@ -190,12 +148,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "bytes per decision (default: %(default)s)")
     parser.add_argument("--names", nargs="+", default=["BENCH_*.json"],
                         metavar="GLOB", help="record filename globs to compare")
-    parser.add_argument("--store", type=pathlib.Path, default=None, metavar="DB",
-                        help="results store whose latest bench rows override the "
-                             "baseline directory (ignored when absent)")
     args = parser.parse_args(argv)
     return compare_records(args.baseline, args.current, args.max_drop, args.names,
-                           max_bytes_growth=args.max_bytes_growth, store=args.store)
+                           max_bytes_growth=args.max_bytes_growth)
 
 
 if __name__ == "__main__":

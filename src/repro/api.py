@@ -46,8 +46,7 @@ from repro.harness.experiment import (ExperimentConfig, ExperimentResult,
                                       run_experiment)
 from repro.harness.overload import (LoadPoint, OverloadConfig, OverloadResult,
                                     run_overload_sweep, store_overload_result)
-from repro.harness.shard import (CrossShardCoordinator, ShardedConfig,
-                                 ShardedResult, ShardRouter, run_sharded)
+from repro.harness.shard import ShardedConfig, ShardedResult, ShardRouter, run_sharded
 from repro.harness.sweep import SweepCell, SweepResult, run_sweep, sweep_cell
 from repro.metrics.report import render_report
 from repro.metrics.store import ResultsStore, RunRecord, current_git_commit
@@ -96,7 +95,6 @@ __all__ = [
     "Cluster",
     "ShardedResult",
     "ShardRouter",
-    "CrossShardCoordinator",
     "Topology",
     "ec2_five_sites",
     "custom_topology",

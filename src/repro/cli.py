@@ -1,7 +1,6 @@
 """Command-line interface for running experiments and regenerating figures.
 
-Installed as the ``repro`` console script (``caesar-repro`` is kept as a
-deprecated alias)::
+Installed as the ``repro`` console script::
 
     repro run --protocol caesar --conflicts 30 --clients 10
     repro compare --conflicts 0 10 30
@@ -943,13 +942,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     print(output)
     return 0
-
-
-def main_deprecated(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the deprecated ``caesar-repro`` alias."""
-    print("caesar-repro is deprecated; use the 'repro' command instead",
-          file=sys.stderr)
-    return main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,8 +45,8 @@ from repro.core.recovery import RecoveryManager
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.kernel import BallotRegister, ProtocolKernel, QuorumTracker, handles
 from repro.sim.costs import CostModel
+from repro.sim.events import Event
 from repro.sim.network import Network
-from repro.sim.node import Timer
 from repro.sim.simulator import Simulator
 
 #: Leader-side phases a command can be in.
@@ -77,7 +77,7 @@ class LeaderState:
     whitelist: Optional[FrozenSet[CommandId]]
     votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
     predecessors: Set[CommandId] = field(default_factory=set)
-    timer: Optional[Timer] = None
+    timer: Optional[Event] = None
     started_at: float = 0.0
     phase_started_at: float = 0.0
     went_slow: bool = False

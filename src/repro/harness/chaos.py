@@ -35,7 +35,7 @@ from repro.chaos.nemesis import (
 from repro.consensus.command import Command
 from repro.consensus.interface import DecisionKind
 from repro.core.invariants import check_execution_consistency
-from repro.harness.cluster import ClusterConfig, build_cluster
+from repro.harness.cluster import ClusterConfig, build_cluster, builder_options
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
 from repro.sim.topology import Topology
@@ -187,7 +187,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     cluster_config = ClusterConfig(
         protocol=config.protocol, topology=config.topology, seed=config.seed,
         network=config.network, retransmit=config.retransmit_enabled,
-        protocol_options=_chaos_protocol_options(config))
+        protocol_options=builder_options(config.protocol, config.recovery))
     cluster = build_cluster(cluster_config)
     sim = cluster.sim
     tape = HistoryTape(sim)
@@ -268,17 +268,6 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         client_stats=TapedClientStats.of(tape), fast_decisions=fast,
         slow_decisions=slow, recoveries=recoveries, fault_stats=fault_stats,
         nemesis_log=list(nemesis.log), events_executed=sim.steps_executed)
-
-
-def _chaos_protocol_options(config: ChaosConfig) -> Dict[str, object]:
-    """Per-protocol constructor options for a chaos run."""
-    if config.protocol == "caesar":
-        from repro.core.config import CaesarConfig
-
-        return {"config": CaesarConfig(recovery_enabled=config.recovery)}
-    if config.protocol in ("epaxos", "multipaxos"):
-        return {"recovery_enabled": config.recovery}
-    return {}
 
 
 def run_conformance_matrix(protocols: Sequence[str], schedules: Sequence[str],

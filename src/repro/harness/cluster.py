@@ -230,6 +230,24 @@ def register_protocol(name: str, builder: Callable) -> None:
     PROTOCOLS[name] = builder
 
 
+def builder_options(protocol: str, recovery: bool,
+                    options: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """Builder options for ``protocol`` with the generic recovery switch applied.
+
+    CAESAR gets ``config=CaesarConfig(recovery_enabled=recovery)`` unless
+    ``options`` already carries a config; EPaxos and Multi-Paxos get
+    ``recovery_enabled`` unless ``options`` sets it; the other protocols
+    have no recovery switch.  Returns a new dict; ``options`` is not changed.
+    """
+    merged = dict(options or {})
+    if protocol == "caesar":
+        if merged.get("config") is None:
+            merged["config"] = CaesarConfig(recovery_enabled=recovery)
+    elif protocol in ("epaxos", "multipaxos"):
+        merged.setdefault("recovery_enabled", recovery)
+    return merged
+
+
 def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:
     """Construct a cluster for the configured protocol on the configured topology."""
     # Importing the baseline registrations lazily avoids a circular import

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.consensus.interface import DecisionKind
-from repro.core.config import CaesarConfig
-from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
+from repro.harness.cluster import Cluster, ClusterConfig, build_cluster, builder_options
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary, summarize_latencies
 from repro.sim.batching import BatchingConfig
@@ -148,28 +147,16 @@ class ExperimentResult:
         return summary.mean if summary is not None else None
 
 
-def _protocol_options(config: ExperimentConfig) -> Dict[str, object]:
-    """Translate the generic experiment settings into per-protocol kwargs."""
-    options = dict(config.protocol_options)
-    if config.protocol == "caesar":
-        caesar_config = options.get("config")
-        if caesar_config is None:
-            caesar_config = CaesarConfig(recovery_enabled=config.recovery)
-            options["config"] = caesar_config
-    elif config.protocol in ("epaxos", "multipaxos"):
-        options.setdefault("recovery_enabled", config.recovery)
-    return options
-
-
 def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
     """Build (but do not run) the cluster an experiment will use."""
+    options = builder_options(config.protocol, config.recovery, config.protocol_options)
     cluster_config = ClusterConfig(protocol=config.protocol, topology=config.topology,
                                    seed=config.seed, network=config.network,
                                    cost_model=config.cost_model, batching=config.batching,
                                    retransmit=config.retransmit,
                                    admission=config.admission,
                                    history_gc_ms=config.history_gc_ms,
-                                   protocol_options=_protocol_options(config))
+                                   protocol_options=options)
     return build_cluster(cluster_config)
 
 

@@ -2,10 +2,11 @@
 
 :class:`WallClock` is the real-time counterpart of the discrete-event
 :class:`~repro.sim.simulator.Simulator`: the same ``now`` (milliseconds,
-float) and ``schedule(delay_ms, callback, priority, args)`` surface, backed
-by the asyncio event loop's monotonic clock instead of an event heap.  The
-protocol kernel, the retransmission buffer, the catch-up probes and the
-closed/open-loop clients all run unchanged against it.
+float), ``schedule`` / ``schedule_at`` and ``rng`` surface that
+:class:`~repro.sim.node.Node` documents for its clock, backed by the asyncio
+event loop's monotonic clock instead of an event heap.  The protocol kernel,
+the retransmission buffer, the catch-up probes and the closed/open-loop
+clients all run unchanged against it.
 
 Time starts at 0.0 when the clock is created (process start for a replica),
 so durations and timer math behave exactly like virtual time; absolute
@@ -17,7 +18,6 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Optional, Tuple
 
-from repro.runtime.clock import Clock
 from repro.sim.random import DeterministicRandom
 
 
@@ -45,7 +45,7 @@ class ScheduledCall:
         return self._cancelled
 
 
-class WallClock(Clock):
+class WallClock:
     """Clock over the asyncio event loop's monotonic time source.
 
     Args:
@@ -57,14 +57,15 @@ class WallClock(Clock):
     """
 
     def __init__(self, seed: int = 0, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop or asyncio.get_event_loop()
-        self._t0 = self._loop.time()
+        #: the event loop every callback runs on.
+        self.loop = loop or asyncio.get_event_loop()
+        self._t0 = self.loop.time()
         self.rng = DeterministicRandom(seed)
 
     @property
     def now(self) -> float:
         """Milliseconds of monotonic time since the clock was created."""
-        return (self._loop.time() - self._t0) * 1000.0
+        return (self.loop.time() - self._t0) * 1000.0
 
     def schedule(self, delay: float, callback: Callable[..., None], priority: int = 0,
                  args: Tuple = ()) -> ScheduledCall:
@@ -80,9 +81,9 @@ class WallClock(Clock):
         if delay <= 0:
             # call_soon keeps zero-delay dispatch (the per-message hot path)
             # off the heap-based timer queue.
-            handle = self._loop.call_soon(callback, *args)
+            handle = self.loop.call_soon(callback, *args)
         else:
-            handle = self._loop.call_later(delay / 1000.0, callback, *args)
+            handle = self.loop.call_later(delay / 1000.0, callback, *args)
         return ScheduledCall(handle)
 
     def schedule_at(self, time: float, callback: Callable[..., None], priority: int = 0,

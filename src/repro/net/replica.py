@@ -58,7 +58,7 @@ class ReplicaConfig:
         admission: admission-control spec guarding the client submit path
             (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; ``None`` = no
             hook) — same policies the simulator harness installs.
-        protocol_options: extra builder options, merged after the
+        protocol_options: extra builder options; they win over the
             ``recovery`` translation (same semantics as the experiment
             harness).
     """
@@ -71,18 +71,6 @@ class ReplicaConfig:
     recovery: bool = False
     admission: Optional[str] = None
     protocol_options: Dict[str, object] = field(default_factory=dict)
-
-    def protocol_builder_options(self) -> Dict[str, object]:
-        """Translate generic settings into per-protocol builder options."""
-        options = dict(self.protocol_options)
-        if self.protocol == "caesar":
-            if options.get("config") is None:
-                from repro.core.caesar import CaesarConfig
-
-                options["config"] = CaesarConfig(recovery_enabled=self.recovery)
-        elif self.protocol in ("epaxos", "multipaxos"):
-            options.setdefault("recovery_enabled", self.recovery)
-        return options
 
 
 class ReplicaServer:
@@ -117,7 +105,7 @@ class ReplicaServer:
         self._started = True
         # Baseline protocol builders register themselves at import time.
         from repro.harness import protocols as _protocols  # noqa: F401
-        from repro.harness.cluster import PROTOCOLS
+        from repro.harness.cluster import PROTOCOLS, builder_options
 
         config = self.config
         if config.protocol not in PROTOCOLS:
@@ -129,8 +117,9 @@ class ReplicaServer:
                                    reconnect=self._reconnect)
         quorums = QuorumSystem.for_cluster(len(config.peers))
         builder = PROTOCOLS[config.protocol]
-        self.replica = builder(config.node_id, self.clock, self.network, quorums,
-                               config.protocol_builder_options(), zero_cost_model())
+        options = builder_options(config.protocol, config.recovery, config.protocol_options)
+        self.replica = builder(config.node_id, self.clock, self.network, quorums, options,
+                               zero_cost_model())
         if not config.retransmit:
             configure = getattr(self.replica, "configure_retransmit", None)
             if configure is not None:

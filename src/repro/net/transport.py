@@ -16,8 +16,11 @@ into latency, over sockets exactly as it does under the nemesis loss faults.
 
 :class:`PeerNetwork` is the socket-world counterpart of the simulated
 :class:`~repro.sim.network.Network`: the same ``node_ids`` / ``register`` /
-``stats`` surface (so the kernel runs unchanged) plus the transport-factory
-hook that hands replicas an :class:`AsyncioTransport`.
+``stats`` surface (so the kernel runs unchanged), the transport factory that
+hands replicas an :class:`AsyncioTransport`, and delivery: every inbound or
+self-addressed message reaches the replica's crash-gated dispatch through
+``loop.call_soon``, never re-entrantly and never through the simulator's CPU
+queue.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.clock import WallClock
 from repro.net.framing import encode_frame
 from repro.net.wire import ROLE_REPLICA, Hello
-from repro.runtime.clock import Timer
 from repro.runtime.registry import WIRE
 from repro.runtime.transport import Transport
 from repro.sim.network import NetworkConfig, NetworkStats
@@ -54,7 +56,8 @@ class PeerNetwork:
     """Socket-world peer map satisfying the kernel's network duck-type.
 
     Args:
-        clock: the replica's :class:`~repro.net.clock.WallClock`.
+        clock: the replica's :class:`~repro.net.clock.WallClock`; deliveries
+            are dispatched on its event loop.
         local_id: this process's replica id (must appear in ``peers``).
         peers: replica id -> ``(host, port)`` listen address.
     """
@@ -64,13 +67,13 @@ class PeerNetwork:
                  reconnect: Optional[ReconnectPolicy] = None) -> None:
         if local_id not in peers:
             raise ValueError(f"local replica {local_id} missing from peer map {sorted(peers)}")
-        self.clock = clock
         self.local_id = local_id
         self.peers = dict(peers)
         self.reconnect = reconnect or ReconnectPolicy()
         self.stats = NetworkStats()
         self.config = NetworkConfig()
         self._nodes: Dict[int, object] = {}
+        self._call_soon = clock.loop.call_soon
 
     @property
     def node_ids(self) -> List[int]:
@@ -90,20 +93,22 @@ class PeerNetwork:
         """The locally registered replica (raises for remote ids)."""
         return self._nodes[node_id]
 
-    def create_transport(self, node, batching=None) -> "AsyncioTransport":
+    def create_transport(self, node) -> "AsyncioTransport":
         """Transport-factory hook used by :class:`~repro.sim.node.Node`."""
-        if batching is not None:
-            raise NotImplementedError("outgoing batching is not supported over TCP yet")
         return AsyncioTransport(node, self)
 
     def deliver_local(self, src: int, message: object) -> None:
-        """Hand an inbound (or self-addressed) message to the hosted replica."""
+        """Hand an inbound (or self-addressed) message to the hosted replica.
+
+        Dispatch runs on the next loop iteration, so a self-send never
+        re-enters the sender's handler; the dispatch re-checks for a crash.
+        """
         node = self._nodes.get(self.local_id)
         if node is None or node.crashed:
             self.stats.messages_to_crashed += 1
             return
         self.stats.messages_delivered += 1
-        node.receive(src, message)
+        self._call_soon(node._dispatch_one, src, message)
 
 
 class PeerConnection:
@@ -194,16 +199,15 @@ class PeerConnection:
 class AsyncioTransport(Transport):
     """Transport over real TCP sockets (see the module docstring).
 
-    Lifecycle: constructed with the replica (timers work immediately via the
-    wall clock), :meth:`start` dials every peer, :meth:`close` tears the
-    dialed connections down.  Sends before the dial completes — or while a
-    peer is down — are dropped and counted in ``network.stats``.
+    Lifecycle: constructed with the replica, :meth:`start` dials every peer,
+    :meth:`close` tears the dialed connections down.  Sends before the dial
+    completes — or while a peer is down — are dropped and counted in
+    ``network.stats``.
     """
 
     def __init__(self, node, network: PeerNetwork) -> None:
         self.node = node
         self.network = network
-        self.clock = network.clock
         self._node_id = node.node_id
         self._connections: Dict[int, PeerConnection] = {}
         self._started = False
@@ -261,17 +265,13 @@ class AsyncioTransport(Transport):
         per_type = stats.per_type_codec_bytes
         per_type[type_name] = per_type.get(type_name, 0) + len(payload)
         if dst == self._node_id:
-            # Self-sends never cross the wire: straight into the local
-            # receive path (which defers dispatch through the clock).
+            # Self-sends never cross the wire: straight into local
+            # delivery (which defers dispatch to the next loop iteration).
             self.network.deliver_local(dst, message)
             return
         connection = self._connections.get(dst)
         if connection is None or not connection.send_frame(frame):
             stats.messages_dropped += 1
-
-    def set_timer(self, delay_ms: float, callback) -> Timer:
-        """Arm a timer on the wall clock (asyncio event loop)."""
-        return Timer(self.clock.schedule(delay_ms, callback))
 
     def close(self) -> None:
         """Tear down every dialed connection (idempotent)."""

@@ -15,9 +15,9 @@ The :mod:`repro.runtime` package is the common substrate the five protocols
   (:func:`~repro.runtime.kernel.handles`), quorum trackers, ballot registers
   and failure-detector scaffolding;
 * :mod:`repro.runtime.transport` — the :class:`~repro.runtime.transport.Transport`
-  interface decoupling replicas from the simulated network, with the
-  simulator-backed transport (including transport-level batching) as the
-  first backend;
+  interface replicas send through, with the simulator-backed transport
+  (including transport-level batching) as one backend and
+  :class:`~repro.net.transport.AsyncioTransport` as the other;
 * :mod:`repro.runtime.stats` — the unified per-replica
   :class:`~repro.runtime.stats.ProtocolStats` record.
 
@@ -33,8 +33,9 @@ from repro.runtime.stats import ProtocolStats
 from repro.runtime.transport import SimulatorTransport, Transport
 
 #: Kernel names are re-exported lazily: the kernel depends on the replica
-#: interface, which depends on the simulated node, which imports the
-#: transport from this package — an eager import here would close that loop.
+#: interface, which imports the ``repro.sim`` package, whose failure detector
+#: registers its messages through this package — an eager import here would
+#: close that loop.
 _KERNEL_EXPORTS = ("BallotRegister", "ProtocolKernel", "QuorumTracker", "handles")
 
 

@@ -55,9 +55,9 @@ from repro.runtime.codec import STRING, UINT, SeqCodec
 from repro.runtime.registry import MessageCodec, register_message
 from repro.runtime.stats import ProtocolStats
 from repro.sim.costs import CostModel
+from repro.sim.events import Event
 from repro.sim.failures import FailureDetector, Heartbeat
 from repro.sim.network import Network
-from repro.sim.node import Timer
 from repro.sim.simulator import Simulator
 
 #: Function attribute carrying the message classes a method handles.
@@ -265,7 +265,7 @@ class RetransmitBuffer:
         self.kernel = kernel
         self.policy = policy
         self._entries: Dict[object, _RetransmitEntry] = {}
-        self._timer: Optional[Timer] = None
+        self._timer: Optional[Event] = None
         #: jitter stream, forked per node; drawn from only on actual resends
         #: so loss-free runs consume no randomness from it.
         self._jitter = kernel.sim.rng.fork(f"retransmit-{kernel.node_id}")
@@ -415,7 +415,7 @@ class ProtocolKernel(ConsensusReplica):
         self.failure_detector: Optional[FailureDetector] = None
         self._fd_setup: Optional[Dict[str, object]] = None
         self.retransmit = RetransmitBuffer(self, RetransmitPolicy())
-        self._catchup_timer: Optional[Timer] = None
+        self._catchup_timer: Optional[Event] = None
         self._catchup_attempts = 0
         self._catchup_signature: Optional[tuple] = None
         #: bound-method dispatch table (exact type -> handler), built once per

@@ -1,16 +1,22 @@
 """The transport seam between protocol replicas and the world.
 
-Replicas talk to a :class:`Transport`, never to the network directly: the
-transport owns outgoing I/O, batching, and the replica's timer service, and
-can be swapped for a different backend without touching protocol code.  Two
-backends implement the contract:
+Replicas send through a :class:`Transport`, never through the network
+directly: the transport owns outgoing I/O and batching, and can be swapped
+for a different backend without touching protocol code.  It does nothing
+else.  Delivery belongs to the network (the simulated
+:class:`~repro.sim.network.Network` queues each arrival on the receiver's
+CPU; the TCP :class:`~repro.net.transport.PeerNetwork` hands it to the
+replica's dispatch), and timers belong to the clock the replica runs on
+(:meth:`repro.sim.node.Node.set_timer` schedules on it directly).  The
+network builds each replica's transport.  Two backends implement the
+contract:
 
-* :class:`SimulatorTransport` — messages and timers go through the shared
-  discrete-event :class:`~repro.sim.network.Network` / simulator (the
-  oracle: deterministic, seedable, byte-identical across runs);
+* :class:`SimulatorTransport` — messages go through the shared
+  discrete-event :class:`~repro.sim.network.Network` (the oracle:
+  deterministic, seedable, byte-identical across runs);
 * :class:`~repro.net.transport.AsyncioTransport` — the same wire messages
-  travel length-prefixed over real TCP sockets between replica processes,
-  and timers map onto the asyncio event loop (the measurement path).
+  travel length-prefixed over real TCP sockets between replica processes
+  (the measurement path).
 
 Lifecycle contract
 ------------------
@@ -19,8 +25,7 @@ Every transport moves through the same three phases, verified for both
 backends by one conformance suite (``tests/test_transport_contract.py``):
 
 1. **construction** — the transport is bound to its owning replica; no I/O
-   happens yet, but :attr:`Transport.node_ids` and timers must already work
-   (protocols arm timers from their constructors).
+   happens yet, but :attr:`Transport.node_ids` must already work.
 2. **started** — after :meth:`Transport.start`, ``send`` / ``broadcast``
    deliver (or begin attempting to deliver) messages.  ``start`` is
    idempotent.  Calling ``send`` before ``start`` must not raise: the
@@ -28,20 +33,10 @@ backends by one conformance suite (``tests/test_transport_contract.py``):
    until its connections establish — exactly the semantics of a real
    datacenter boot.
 3. **closed** — after :meth:`Transport.close`, no further delivery is
-   attempted and all transport-owned resources (connections, pending
-   timers it manages internally) are released.  ``close`` is idempotent;
-   ``send`` after ``close`` is a silent no-op (a crashed process cannot
-   observe its own lost sends).
-
-Timer service
--------------
-
-``set_timer(delay_ms, callback)`` returns a :class:`~repro.runtime.clock.Timer`
-and ``cancel_timer(timer)`` cancels one; the owning node applies clock skew
-and crash-gating *before* delegating here, so transports only translate a
-plain delay onto their clock (event heap or event loop).  Timers are how the
-kernel's retransmission scans and catch-up probes run identically on both
-substrates.
+   attempted and all transport-owned resources (connections, buffered
+   batches) are released.  ``close`` is idempotent; ``send`` after
+   ``close`` is a silent no-op (a crashed process cannot observe its own
+   lost sends).
 
 Wire accounting
 ---------------
@@ -61,13 +56,12 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional
 
-from repro.runtime.clock import Timer
 from repro.runtime.registry import WIRE
 from repro.sim.batching import BatchBuffer, BatchingConfig
 
 
 class Transport(abc.ABC):
-    """Interface a replica uses for all outgoing communication and timers.
+    """Interface a replica uses for all outgoing communication.
 
     See the module docstring for the full lifecycle contract.  Implementations
     must deliver ``send`` asynchronously (never re-entrantly into the
@@ -91,14 +85,6 @@ class Transport(abc.ABC):
     def broadcast(self, message: object, include_self: bool = True,
                   size_bytes: int = 64) -> None:
         """Send ``message`` to every peer (optionally excluding the local node)."""
-
-    @abc.abstractmethod
-    def set_timer(self, delay_ms: float, callback) -> Timer:
-        """Run ``callback`` after ``delay_ms`` on this transport's clock."""
-
-    def cancel_timer(self, timer: Timer) -> None:
-        """Cancel a timer returned by :meth:`set_timer` (idempotent)."""
-        timer.cancel()
 
     def configure_batching(self, config: BatchingConfig) -> None:
         """Install (or replace) an outgoing batching policy.
@@ -128,19 +114,19 @@ class SimulatorTransport(Transport):
 
     Owns the per-destination batch buffer: messages to the same destination
     within the batching window leave as one wire message.  Self-addressed
-    messages bypass batching (they never cross a real wire).
+    messages bypass batching (they never cross a real wire).  Sends are
+    eager until :meth:`configure_batching` installs a policy.
 
     Args:
-        node: the owning node (supplies ``node_id`` and the simulator clock).
+        node: the owning node (supplies ``node_id`` and the batching timers).
         network: the shared simulated network.
-        batching: optional batching policy; ``None`` sends eagerly.
     """
 
-    def __init__(self, node, network, batching: Optional[BatchingConfig] = None) -> None:
+    def __init__(self, node, network) -> None:
         self.node = node
         self.network = network
-        self.batching = batching
-        self._buffer = BatchBuffer(batching) if batching is not None else None
+        self.batching: Optional[BatchingConfig] = None
+        self._buffer: Optional[BatchBuffer] = None
         self._flush_scheduled: Dict[int, bool] = {}
         self.measure_wire = bool(getattr(network.config, "wire_accounting", False))
         self._closed = False
@@ -195,10 +181,6 @@ class SimulatorTransport(Transport):
         self._fault_filter = faults
         self._refresh_send_direct()
 
-    def set_timer(self, delay_ms: float, callback) -> Timer:
-        """Schedule ``callback`` on the shared simulator's virtual clock."""
-        return Timer(self.node.sim.schedule(delay_ms, callback))
-
     def send(self, dst: int, message: object, size_bytes: int = 64) -> None:
         """Send or buffer one message (self-sends are never delayed)."""
         if self._closed:
@@ -223,8 +205,15 @@ class SimulatorTransport(Transport):
 
     def broadcast(self, message: object, include_self: bool = True,
                   size_bytes: int = 64) -> None:
-        """Send ``message`` to every registered node."""
-        local = self.node.node_id
+        """Send ``message`` to every registered node, in registration order."""
+        local = self._node_id
+        direct = self.send_direct
+        if direct is not None:
+            for dst in self.network.node_ids:
+                if dst == local and not include_self:
+                    continue
+                direct(local, dst, message, size_bytes=size_bytes)
+            return
         for dst in self.network.node_ids:
             if dst == local and not include_self:
                 continue

@@ -106,19 +106,18 @@ class Network:
         self._nodes[node.node_id] = node
         self._node_ids_cache = None
 
-    def create_transport(self, node: "NodeLike", batching=None):
-        """Build the transport a node hosted on this network should use.
+    def create_transport(self, node: "NodeLike"):
+        """Build the transport a node hosted on this network sends through.
 
-        The network is the transport factory (see
-        :class:`repro.runtime.transport.Transport`): nodes built against the
+        The network is the transport factory: nodes built against the
         simulated network get a
         :class:`~repro.runtime.transport.SimulatorTransport`, nodes built
-        against a socket-world peer map get an asyncio one — protocol code
-        never chooses a backend.
+        against a TCP :class:`~repro.net.transport.PeerNetwork` get an
+        asyncio one, so protocol code never chooses a backend.
         """
         from repro.runtime.transport import SimulatorTransport
 
-        return SimulatorTransport(node, self, batching)
+        return SimulatorTransport(node, self)
 
     def node(self, node_id: int) -> "NodeLike":
         """Return the registered node with the given id."""
@@ -231,13 +230,6 @@ class Network:
             return
         self.stats.messages_delivered += 1
         node.receive(src, message)
-
-    def broadcast(self, src: int, message: object, include_self: bool = True, size_bytes: int = 64) -> None:
-        """Send ``message`` from ``src`` to every registered node."""
-        for dst in self._nodes:
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, message, size_bytes=size_bytes)
 
 
 class NodeLike:

@@ -1,16 +1,36 @@
-"""Simulated process abstraction.
+"""The replica process abstraction shared by both substrates.
 
 A :class:`Node` is one replica of a protocol.  It provides:
 
-* message sending/broadcast through a :class:`~repro.runtime.transport.Transport`
-  (by default the :class:`~repro.runtime.transport.SimulatorTransport` over the
-  shared :class:`~repro.sim.network.Network`);
-* a serial CPU: incoming messages are processed one at a time, each charging
-  the cost given by the node's :class:`~repro.sim.costs.CostModel`, so that a
-  node under load builds a queue and saturates (this is what bounds
-  throughput in the Figure 8/9 experiments);
-* timers (:meth:`set_timer`);
+* message sending/broadcast through the
+  :class:`~repro.runtime.transport.Transport` its network builds for it
+  (a :class:`~repro.runtime.transport.SimulatorTransport` on the simulated
+  :class:`~repro.sim.network.Network`, an
+  :class:`~repro.net.transport.AsyncioTransport` on a TCP
+  :class:`~repro.net.transport.PeerNetwork`);
+* a serial CPU on the simulator: incoming messages are processed one at a
+  time, each charging the cost given by the node's
+  :class:`~repro.sim.costs.CostModel`, so that a node under load builds a
+  queue and saturates (this is what bounds throughput in the Figure 8/9
+  experiments);
+* timers (:meth:`set_timer`), scheduled directly on ``sim``;
 * crash and restart hooks used by the recovery experiment (Figure 12).
+
+``sim`` is the replica's clock.  Any object works that provides:
+
+* ``now`` -- the current time in milliseconds (float);
+* ``schedule(delay_ms, callback, priority=0, args=())`` and
+  ``schedule_at(time_ms, callback, priority=0, args=())`` -- run
+  ``callback(*args)`` later and return a handle exposing ``cancel()`` and
+  ``cancelled``;
+* ``rng`` -- a :class:`~repro.sim.random.DeterministicRandom`, so per-node
+  forks (retransmission jitter, workload streams) derive identically
+  everywhere.
+
+The discrete-event :class:`~repro.sim.simulator.Simulator` and the asyncio
+:class:`~repro.net.clock.WallClock` both do.  Delivery belongs to the
+network: the simulated network calls :meth:`Node.receive` (the CPU queue),
+the TCP peer network calls the crash-gated dispatch directly.
 
 Protocol implementations subclass :class:`Node` and implement
 :meth:`handle_message`.
@@ -20,30 +40,28 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime.clock import Timer
-from repro.runtime.transport import SimulatorTransport, Transport
 from repro.sim.batching import BatchingConfig, MessageBatch
 from repro.sim.costs import CostModel
+from repro.sim.events import Event
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 
-__all__ = ["Node", "Timer"]
+__all__ = ["Node"]
 
 
 class Node:
-    """Base class for all simulated replicas.
+    """Base class for all replicas.
 
     Args:
         node_id: index of this node within the cluster (also its network address).
-        sim: the shared simulator.
-        network: the shared network; the node registers itself on construction.
+        sim: the clock (see the module docstring).
+        network: the shared network; it builds the node's transport and the
+            node registers itself on it on construction.
         cost_model: CPU cost model; ``None`` means a default (cheap) model.
     """
 
     def __init__(self, node_id: int, sim: Simulator, network: Network,
-                 cost_model: Optional[CostModel] = None,
-                 batching: Optional[BatchingConfig] = None,
-                 transport: Optional[Transport] = None) -> None:
+                 cost_model: Optional[CostModel] = None) -> None:
         self.node_id = node_id
         self.sim = sim
         self.network = network
@@ -59,25 +77,8 @@ class Node:
         self._cpu_free_at = 0.0
         self.cpu_busy_ms = 0.0
         self.messages_handled = 0
-        # Resolved once: only the simulator clock exposes an event queue for
-        # the handle-free dispatch push; other Clock backends (WallClock)
-        # dispatch through the portable schedule() path.
-        self._dispatch_queue = getattr(sim, "_queue", None)
-        if transport is None:
-            # The network acts as the transport factory: the simulated
-            # Network hands out SimulatorTransports, a socket-world peer map
-            # hands out AsyncioTransports — so protocol constructors never
-            # name a backend.
-            factory = getattr(network, "create_transport", None)
-            transport = (factory(self, batching) if factory is not None
-                         else SimulatorTransport(self, network, batching))
-        self.transport = transport
+        self.transport = network.create_transport(self)
         network.register(self)
-
-    @property
-    def batching(self) -> Optional[BatchingConfig]:
-        """The transport's batching policy (``None`` when batching is off)."""
-        return getattr(self.transport, "batching", None)
 
     # ------------------------------------------------------------------ I/O
 
@@ -109,34 +110,23 @@ class Node:
         """Send a message to every node in the cluster."""
         if self.crashed:
             return
-        me = self.node_id
-        direct = self.transport.send_direct
-        if direct is not None:
-            for dst in self.network.node_ids:
-                if dst == me and not include_self:
-                    continue
-                direct(me, dst, message, size_bytes=size_bytes)
-            return
-        for dst in self.network.node_ids:
-            if dst == me and not include_self:
-                continue
-            self.send(dst, message, size_bytes=size_bytes)
+        self.transport.broadcast(message, include_self=include_self, size_bytes=size_bytes)
 
     def receive(self, src: int, message: object) -> None:
-        """Entry point used by the network when a message arrives.
+        """Entry point used by the simulated network when a message arrives.
 
-        The message is queued behind any CPU work already in progress, then
-        dispatched to :meth:`handle_message`.  Message batches are unpacked
-        here: the envelope costs one full message, each inner message a
-        discounted marginal cost.
+        The message is queued on the simulator behind any CPU work already
+        in progress, then dispatched to :meth:`handle_message`.  Message
+        batches are unpacked here: the envelope costs one full message, each
+        inner message a discounted marginal cost.
         """
         if self.crashed:
             return
         sim = self.sim
         local = src == self.node_id
         if isinstance(message, MessageBatch):
-            factor = (self.batching.marginal_cost_factor
-                      if self.batching is not None else 1.0)
+            batching = self.transport.batching
+            factor = batching.marginal_cost_factor if batching is not None else 1.0
             cost = self.cost_model.message_cost(message, local=local)
             cost += sum(self.cost_model.message_cost(inner, local=local) * factor
                         for inner in message.messages)
@@ -158,14 +148,10 @@ class Node:
         # Dispatch events are never cancelled; the handle-free push skips an
         # Event allocation per message.  ``now + (finish - now)`` preserves
         # the exact float the delay-based schedule() produced.
-        queue = self._dispatch_queue
-        if queue is not None:
-            queue.push_transient(now + (finish - now), dispatch, args=(src, payload))
-        else:
-            sim.schedule(finish - now, lambda: dispatch(src, payload))
+        sim._queue.push_transient(now + (finish - now), dispatch, args=(src, payload))
 
     def _dispatch_one(self, src: int, message: object) -> None:
-        """Run one queued message through the protocol handler."""
+        """Run one delivered message through the protocol handler (crash-gated)."""
         if self.crashed:
             return
         self.messages_handled += 1
@@ -193,22 +179,21 @@ class Node:
 
     # ---------------------------------------------------------------- timers
 
-    def set_timer(self, delay_ms: float, callback: Callable[[], None]) -> Timer:
+    def set_timer(self, delay_ms: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` after ``delay_ms`` of local-clock time unless cancelled or crashed.
 
         The delay is measured on the node's *local* clock: with a skewed
         ``timer_scale`` the timer fires earlier (fast clock) or later (slow
         clock) than the nominal delay.  ``timer_scale == 1.0`` multiplies
-        exactly, so unskewed schedules are bit-identical.  Skew and
-        crash-gating are applied here; the transport only maps the resulting
-        delay onto its clock (event heap or event loop).
+        exactly, so unskewed schedules are bit-identical.  Returns the
+        clock's handle (``cancel()`` / ``cancelled``).
         """
 
         def fire() -> None:
             if not self.crashed:
                 callback()
 
-        return self.transport.set_timer(delay_ms * self.timer_scale, fire)
+        return self.sim.schedule(delay_ms * self.timer_scale, fire)
 
     # ----------------------------------------------------------- life cycle
 

@@ -1,4 +1,4 @@
-"""Tests for the ``caesar-repro`` command-line interface."""
+"""Tests for the ``repro`` command-line interface."""
 
 from __future__ import annotations
 
@@ -270,13 +270,3 @@ class TestOverloadReportCommands:
         assert payload["summary"]["points"] == 1
         assert len(payload["points"]) == 1
         assert payload["points"][0]["offered_per_second"] == 120.0
-
-
-class TestDeprecatedAlias:
-    def test_caesar_repro_warns_then_delegates(self, capsys):
-        from repro.cli import main_deprecated
-
-        assert main_deprecated(["topology"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "virginia" in captured.out

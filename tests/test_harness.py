@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.cluster import PROTOCOLS, ClusterConfig, build_cluster
+from repro.core.config import CaesarConfig
+from repro.harness.cluster import PROTOCOLS, ClusterConfig, build_cluster, builder_options
 from repro.harness.experiment import (
     ExperimentConfig,
     attach_clients,
@@ -55,6 +56,34 @@ class TestClusterBuilder:
         cluster = build_cluster()
         assert cluster.check_consistency() == []
         assert cluster.total_executed() == 0
+
+
+class TestBuilderOptions:
+    """The one translation of the generic recovery switch into builder options."""
+
+    @pytest.mark.parametrize("recovery", [False, True])
+    @pytest.mark.parametrize("protocol, expected", [
+        ("caesar", lambda on: {"config": CaesarConfig(recovery_enabled=on)}),
+        ("epaxos", lambda on: {"recovery_enabled": on}),
+        ("multipaxos", lambda on: {"recovery_enabled": on}),
+        ("mencius", lambda on: {}),
+        ("m2paxos", lambda on: {}),
+    ])
+    def test_recovery_translation(self, protocol, expected, recovery):
+        assert builder_options(protocol, recovery) == expected(recovery)
+
+    def test_every_registered_protocol_is_pinned(self):
+        build_cluster()  # registers the baselines
+        assert sorted(PROTOCOLS) == ["caesar", "epaxos", "m2paxos", "mencius", "multipaxos"]
+
+    def test_explicit_options_win_and_are_not_mutated(self):
+        caesar_config = CaesarConfig(recovery_enabled=False)
+        options = {"config": caesar_config, "extra": 1}
+        merged = builder_options("caesar", True, options)
+        assert merged == {"config": caesar_config, "extra": 1}
+        assert builder_options("epaxos", True, {"recovery_enabled": False}) == {
+            "recovery_enabled": False}
+        assert options == {"config": caesar_config, "extra": 1}
 
 
 class TestExperimentRunner:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.network import Network, NetworkConfig
+from repro.sim.node import Node
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
 
@@ -22,12 +23,30 @@ class RecordingNode:
         self.received.append((src, message))
 
 
+class RecordingReplica(Node):
+    """Real node (transport, CPU queue) that records every handled message."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.received = []
+
+    def handle_message(self, src: int, message: object) -> None:
+        self.received.append((src, message))
+
+
 def build_network(n: int = 3, rtt: float = 20.0, **config_kwargs):
     sim = Simulator(seed=5)
     network = Network(sim, uniform_topology(n, rtt_ms=rtt), NetworkConfig(**config_kwargs))
     nodes = [RecordingNode(i) for i in range(n)]
     for node in nodes:
         network.register(node)
+    return sim, network, nodes
+
+
+def build_replicas(n: int = 3, rtt: float = 20.0):
+    sim = Simulator(seed=5)
+    network = Network(sim, uniform_topology(n, rtt_ms=rtt))
+    nodes = [RecordingReplica(i, sim, network) for i in range(n)]
     return sim, network, nodes
 
 
@@ -47,15 +66,15 @@ class TestDelivery:
         assert sim.now < 1.0
 
     def test_broadcast_reaches_everyone(self):
-        sim, network, nodes = build_network()
-        network.broadcast(0, "announce")
+        sim, network, nodes = build_replicas()
+        nodes[0].broadcast("announce")
         sim.run()
         for node in nodes:
             assert node.received == [(0, "announce")]
 
     def test_broadcast_can_exclude_sender(self):
-        sim, network, nodes = build_network()
-        network.broadcast(0, "announce", include_self=False)
+        sim, network, nodes = build_replicas()
+        nodes[0].broadcast("announce", include_self=False)
         sim.run()
         assert nodes[0].received == []
         assert nodes[1].received == [(0, "announce")]
@@ -66,8 +85,8 @@ class TestDelivery:
             network.register(nodes[0])
 
     def test_stats_count_messages(self):
-        sim, network, _ = build_network()
-        network.broadcast(0, "m")
+        sim, network, nodes = build_replicas()
+        nodes[0].broadcast("m")
         sim.run()
         assert network.stats.messages_sent == 3
         assert network.stats.messages_delivered == 3

@@ -1,10 +1,12 @@
 """Conformance suite for the Transport contract, run over BOTH backends.
 
 Every behaviour asserted here is part of the documented lifecycle in
-:class:`repro.runtime.transport.Transport`; the suite is parametrized over
-the simulator backend (:class:`SimulatorTransport` on a discrete-event
-network) and the socket backend (:class:`AsyncioTransport` on a wall-clock
-peer network), so the two substrates cannot drift apart silently.
+:class:`repro.runtime.transport.Transport`, plus the node-level seam around
+it (timers on the node's clock, broadcast through the transport); the suite
+is parametrized over the simulator backend (:class:`SimulatorTransport` on a
+discrete-event network) and the socket backend (:class:`AsyncioTransport` on
+a wall-clock peer network), so the two substrates cannot drift apart
+silently.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 from repro.net.clock import WallClock
 from repro.net.transport import PeerNetwork
 from repro.net.wire import Hello
+from repro.runtime.registry import MessageRegistry
+from repro.sim.batching import BatchingConfig
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
@@ -106,19 +110,18 @@ class TestTransportContract:
     def test_timers_work_from_construction_before_start(self, backend):
         """Phase 1 of the lifecycle: timers are live before start()."""
         fired = []
-        transport = backend.nodes[0].transport
-        backend.call(lambda: transport.set_timer(5.0, lambda: fired.append(True)))
+        node = backend.nodes[0]
+        backend.call(lambda: node.set_timer(5.0, lambda: fired.append(True)))
         assert fired == []
         backend.advance(50.0)
         assert fired == [True]
 
     def test_cancelled_timer_never_fires(self, backend):
         fired = []
-        transport = backend.nodes[0].transport
-        timer = backend.call(
-            lambda: transport.set_timer(5.0, lambda: fired.append(True)))
+        node = backend.nodes[0]
+        timer = backend.call(lambda: node.set_timer(5.0, lambda: fired.append(True)))
         assert not timer.cancelled
-        backend.call(lambda: transport.cancel_timer(timer))
+        backend.call(lambda: timer.cancel())
         assert timer.cancelled
         backend.advance(50.0)
         assert fired == []
@@ -192,6 +195,25 @@ class TestAsyncioSpecifics:
         backend = AsyncioBackend()
         try:
             with pytest.raises(NotImplementedError):
-                backend.network.create_transport(backend.nodes[0], batching=object())
+                backend.nodes[0].enable_batching(BatchingConfig())
+        finally:
+            backend.close()
+
+    def test_node_broadcast_encodes_once(self, monkeypatch):
+        """One broadcast is one codec pass, however many peers it reaches."""
+        backend = AsyncioBackend()
+        try:
+            encodes = []
+            encode = MessageRegistry.encode
+
+            def counting_encode(registry, message):
+                encodes.append(message)
+                return encode(registry, message)
+
+            monkeypatch.setattr(MessageRegistry, "encode", counting_encode)
+            node = backend.nodes[0]
+            backend.call(lambda: node.broadcast(message()))
+            assert len(encodes) == 1
+            assert backend.network.stats.messages_sent == 3
         finally:
             backend.close()
