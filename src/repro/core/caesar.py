@@ -19,7 +19,7 @@ and the failure detector come from the runtime kernel
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
@@ -45,7 +45,6 @@ from repro.core.recovery import RecoveryManager
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.kernel import BallotRegister, ProtocolKernel, QuorumTracker, handles
 from repro.sim.costs import CostModel
-from repro.sim.events import Event
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 
@@ -77,7 +76,7 @@ class LeaderState:
     whitelist: Optional[FrozenSet[CommandId]]
     votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
     predecessors: Set[CommandId] = field(default_factory=set)
-    timer: Optional[Event] = None
+    timer: Any = None  # the clock's handle (``cancel()`` / ``cancelled``)
     started_at: float = 0.0
     phase_started_at: float = 0.0
     went_slow: bool = False

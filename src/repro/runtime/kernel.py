@@ -45,7 +45,7 @@ Protocol subclasses implement only their actual protocol logic: the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.interface import ConsensusReplica
@@ -55,7 +55,6 @@ from repro.runtime.codec import STRING, UINT, SeqCodec
 from repro.runtime.registry import MessageCodec, register_message
 from repro.runtime.stats import ProtocolStats
 from repro.sim.costs import CostModel
-from repro.sim.events import Event
 from repro.sim.failures import FailureDetector, Heartbeat
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
@@ -265,7 +264,8 @@ class RetransmitBuffer:
         self.kernel = kernel
         self.policy = policy
         self._entries: Dict[object, _RetransmitEntry] = {}
-        self._timer: Optional[Event] = None
+        #: the clock's handle for the pending scan (``cancel()`` / ``cancelled``).
+        self._timer: Any = None
         #: jitter stream, forked per node; drawn from only on actual resends
         #: so loss-free runs consume no randomness from it.
         self._jitter = kernel.sim.rng.fork(f"retransmit-{kernel.node_id}")
@@ -415,7 +415,7 @@ class ProtocolKernel(ConsensusReplica):
         self.failure_detector: Optional[FailureDetector] = None
         self._fd_setup: Optional[Dict[str, object]] = None
         self.retransmit = RetransmitBuffer(self, RetransmitPolicy())
-        self._catchup_timer: Optional[Event] = None
+        self._catchup_timer: Any = None
         self._catchup_attempts = 0
         self._catchup_signature: Optional[tuple] = None
         #: bound-method dispatch table (exact type -> handler), built once per

@@ -42,7 +42,6 @@ from typing import Callable, Optional
 
 from repro.sim.batching import BatchingConfig, MessageBatch
 from repro.sim.costs import CostModel
-from repro.sim.events import Event
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 
@@ -179,7 +178,7 @@ class Node:
 
     # ---------------------------------------------------------------- timers
 
-    def set_timer(self, delay_ms: float, callback: Callable[[], None]) -> Event:
+    def set_timer(self, delay_ms: float, callback: Callable[[], None]):
         """Run ``callback`` after ``delay_ms`` of local-clock time unless cancelled or crashed.
 
         The delay is measured on the node's *local* clock: with a skewed
