@@ -6,7 +6,13 @@ import pathlib
 
 from repro.metrics.perf import measure, write_record
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: The committed baselines (records and tables) the perf gate compares
+#: against.  A benchmark run never writes here; ``pytest benchmarks
+#: --update-baselines`` copies a run's output over them (see conftest.py).
+BASELINE_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Where every benchmark run writes its records and tables (gitignored).
+RESULTS_DIR = pathlib.Path(__file__).parent / "out"
 
 
 def run_once(benchmark, fn, *args, perf_name=None, perf_series=None, perf_extra=None,
@@ -20,8 +26,8 @@ def run_once(benchmark, fn, *args, perf_name=None, perf_series=None, perf_extra=
     Besides the human-oriented pytest-benchmark numbers, the run also writes
     a machine-readable ``BENCH_<name>.json`` perf record (wall seconds,
     simulator events executed, events/second, and the figure's series) under
-    ``benchmarks/results/``, so the simulator's performance trajectory stays
-    comparable across PRs.
+    ``benchmarks/out/``, where ``compare_perf.py`` checks it against the
+    committed baseline in ``benchmarks/results/``.
 
     Args:
         perf_name: overrides the record name (defaults to ``fn.__name__``);
@@ -50,6 +56,6 @@ def run_once(benchmark, fn, *args, perf_name=None, perf_series=None, perf_extra=
             record.extra.update(perf_extra(result))
         if series is not None or perf_name is not None:
             # Only figure drivers (or explicitly named measurements) get a
-            # persistent record; helper-level calls stay out of results/.
+            # persistent record; helper-level calls stay out of out/.
             write_record(record, RESULTS_DIR)
     return result

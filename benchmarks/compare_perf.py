@@ -1,8 +1,9 @@
 """CI perf-regression gate over BENCH_*.json records.
 
-Compares freshly generated benchmark records against a baseline directory
-(typically the records committed in git, snapshotted before the run) and
-fails when either
+Compares freshly generated benchmark records (``benchmarks/out/``, where a
+benchmark run writes them) against a baseline directory (the records
+committed in ``benchmarks/results/``, which a run never rewrites) and fails
+when either
 
 * a record's ``events_per_second`` dropped by more than ``--max-drop``, or
 * a record's codec-measured ``codec_bytes_per_decision`` (written by the
@@ -15,10 +16,12 @@ instead of a number someone has to eyeball.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
-    cp benchmarks/results/BENCH_*.json /tmp/perf-baseline/
     pytest benchmarks/test_protocol_microbench.py benchmarks/test_sweep_orchestrator.py
-    python benchmarks/compare_perf.py --baseline /tmp/perf-baseline \
-        --current benchmarks/results --max-drop 0.30 --max-bytes-growth 0.10
+    python benchmarks/compare_perf.py --baseline benchmarks/results \
+        --current benchmarks/out --max-drop 0.30 --max-bytes-growth 0.10
+
+The committed baselines change only through an explicit
+``pytest benchmarks --update-baselines`` (see ``benchmarks/conftest.py``).
 
 Exit codes: 0 = within budget, 1 = regression detected, 2 = usage error
 (no comparable records found).
@@ -137,7 +140,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--baseline", type=pathlib.Path, required=True,
                         help="directory with the baseline BENCH_*.json records")
     parser.add_argument("--current", type=pathlib.Path,
-                        default=pathlib.Path(__file__).parent / "results",
+                        default=pathlib.Path(__file__).parent / "out",
                         help="directory with the freshly generated records "
                              "(default: %(default)s)")
     parser.add_argument("--max-drop", type=float, default=0.30,

@@ -3,16 +3,25 @@
 Times the three operations the ordering layer performs per proposal —
 predecessor computation, wait-condition evaluation/notification, and the
 history UPDATE — at several per-key bucket sizes, for both the optimized
-implementations (interned bitsets, timestamp-sorted buckets, incremental
-wait bookkeeping; :mod:`repro.core.history` / :mod:`repro.core.predecessors`)
-and the naive reference implementations kept in :mod:`repro.core.reference`.
+implementations (key-scoped interned bitsets, timestamp-sorted buckets,
+incremental wait bookkeeping; :mod:`repro.core.history` /
+:mod:`repro.core.predecessors`) and the naive reference implementations
+kept in :mod:`repro.core.reference`.
+
+A *long history* sample repeats the three operations at bucket
+``LONG_HISTORY_BUCKET`` on a history that already holds
+``FOREIGN_COMMANDS`` commands on other keys.  With key-scoped interning the
+masks stay as wide as the bucket, so the ops/second should stay close to
+the fresh-history sample of the same bucket size; a node-wide numbering
+would make every mask operation pay for the foreign commands.  Its wall
+clock is reported, not asserted.
 
 Because both variants run interleaved in the same process on the same data,
 the reported speedups are meaningful even on noisy shared hosts (each
 sample is a best-of-``REPS`` minimum).  The optimized ops/second land in
 ``BENCH_micro_decision_path.json`` and are regression-gated by
 ``compare_perf.py`` alongside the sweep benchmark; the per-size speedup
-table is written to ``benchmarks/results/micro_decision_path.txt``.
+table is written to ``benchmarks/out/micro_decision_path.txt``.
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ REPS = 3
 PARKED = 8
 NOTIFIES = 64
 
+#: The long-history sample: commands on other keys filled in first, and the
+#: bucket size the three operations then run at.
+FOREIGN_COMMANDS = 20_000
+LONG_HISTORY_BUCKET = 64
+
 BALLOT = Ballot.initial(0)
 
 
@@ -61,21 +75,42 @@ def fill(history, commands, status=CommandStatus.FAST_PENDING) -> None:
         history.update(command, ts(offset + 1), set(), status, BALLOT)
 
 
-def best_of(fn: Callable[[], int]) -> tuple:
-    """Run ``fn`` (which returns an op count) REPS times; (ops, min seconds)."""
+def new_history(cls, foreign: int):
+    """A fresh history of class ``cls`` holding ``foreign`` commands spread
+    over 200 keys other than the benchmarked one."""
+    history = cls()
+    for seq in range(foreign):
+        command = Command(command_id=(9, seq), key=f"foreign-{seq % 200}",
+                          operation="put", value="f", origin=0)
+        history.update(command, ts(seq + 1), set(), CommandStatus.STABLE, BALLOT)
+    return history
+
+
+def best_of(prepare: Callable[[], object], fn: Callable[[object], int]) -> tuple:
+    """Run ``fn(prepare())`` (``fn`` returns an op count) REPS times, timing
+    only ``fn``; (ops, min seconds)."""
     ops = 0
     best = float("inf")
     for _ in range(REPS):
+        state = prepare()
         started = time.perf_counter()
-        ops = fn()
+        ops = fn(state)
         elapsed = time.perf_counter() - started
         best = min(best, elapsed)
     return ops, best
 
 
+def sample(optimized: tuple, reference: tuple) -> Dict[str, float]:
+    """Best-of timings of both variants as one sample."""
+    ops, seconds = best_of(*optimized)
+    ref_ops, ref_seconds = best_of(*reference)
+    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
+            "ops": ops, "seconds": seconds}
+
+
 # ----------------------------------------------------------- the three shapes
 
-def time_compute_predecessors(size: int) -> Dict[str, float]:
+def time_compute_predecessors(size: int, foreign: int = 0) -> Dict[str, float]:
     """Predecessors of a fresh command proposed after ``size`` bucket entries."""
     commands = make_commands(size)
     probe = Command(command_id=(1, 0), key="hot", operation="put", value="p",
@@ -83,50 +118,43 @@ def time_compute_predecessors(size: int) -> Dict[str, float]:
     probe_ts = ts(size + 1)
     iterations = 2000
 
-    optimized = CommandHistory()
-    fill(optimized, commands)
-    optimized.intern(probe.command_id)
+    def prepare_optimized() -> CommandHistory:
+        history = new_history(CommandHistory, foreign)
+        fill(history, commands)
+        history.intern(probe.key, probe.command_id)
+        return history
 
-    def run_optimized() -> int:
+    def run_optimized(history: CommandHistory) -> int:
         for _ in range(iterations):
-            compute_predecessor_mask(optimized, probe, probe_ts)
+            compute_predecessor_mask(history, probe, probe_ts)
         return iterations
 
-    reference = ReferenceCommandHistory()
-    fill(reference, commands)
+    def prepare_reference() -> ReferenceCommandHistory:
+        history = new_history(ReferenceCommandHistory, foreign)
+        fill(history, commands)
+        return history
 
-    def run_reference() -> int:
+    def run_reference(history: ReferenceCommandHistory) -> int:
         for _ in range(iterations):
-            reference_compute_predecessors(reference, probe, probe_ts, None)
+            reference_compute_predecessors(history, probe, probe_ts, None)
         return iterations
 
-    ops, seconds = best_of(run_optimized)
-    ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
-            "ops": ops, "seconds": seconds}
+    return sample((prepare_optimized, run_optimized), (prepare_reference, run_reference))
 
 
-def time_history_update(size: int) -> Dict[str, float]:
+def time_history_update(size: int, foreign: int = 0) -> Dict[str, float]:
     """Cost of growing one key's bucket from empty to ``size`` entries."""
     commands = make_commands(size)
 
-    def run_optimized() -> int:
-        history = CommandHistory()
+    def run(history) -> int:
         fill(history, commands)
         return size
 
-    def run_reference() -> int:
-        history = ReferenceCommandHistory()
-        fill(history, commands)
-        return size
-
-    ops, seconds = best_of(run_optimized)
-    ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
-            "ops": ops, "seconds": seconds}
+    return sample((lambda: new_history(CommandHistory, foreign), run),
+                  (lambda: new_history(ReferenceCommandHistory, foreign), run))
 
 
-def time_wait_notify(size: int) -> Dict[str, float]:
+def time_wait_notify(size: int, foreign: int = 0) -> Dict[str, float]:
     """Wait-condition bookkeeping: park PARKED proposals on a bucket of
     ``size`` blockers, then finalize NOTIFIES of them one by one.
 
@@ -139,8 +167,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
                          value="w", origin=0) for seq in range(PARKED)]
     notifies = min(NOTIFIES, size)
 
-    def run_optimized() -> int:
-        history = CommandHistory()
+    def run_optimized(history: CommandHistory) -> int:
         fill(history, commands)
         manager = WaitManager(history, lambda: 0.0)
         for proposal in proposals:
@@ -152,8 +179,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
             manager.notify_entry(entry)
         return PARKED + notifies
 
-    def run_reference() -> int:
-        history = ReferenceCommandHistory()
+    def run_reference(history: ReferenceCommandHistory) -> int:
         fill(history, commands)
         manager = ReferenceWaitManager(history, lambda: 0.0)
         for proposal in proposals:
@@ -165,10 +191,8 @@ def time_wait_notify(size: int) -> Dict[str, float]:
             manager.notify_change(command.key)
         return PARKED + notifies
 
-    ops, seconds = best_of(run_optimized)
-    ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
-            "ops": ops, "seconds": seconds}
+    return sample((lambda: new_history(CommandHistory, foreign), run_optimized),
+                  (lambda: new_history(ReferenceCommandHistory, foreign), run_reference))
 
 
 OPERATIONS = {
@@ -184,11 +208,13 @@ def test_decision_path_microbench(benchmark, save_result):
 
     def run_all():
         samples: Dict[str, Dict[int, Dict[str, float]]] = {}
+        long_history: Dict[str, Dict[str, float]] = {}
         for name, timer in OPERATIONS.items():
             samples[name] = {size: timer(size) for size in BUCKET_SIZES}
-        return samples
+            long_history[name] = timer(LONG_HISTORY_BUCKET, FOREIGN_COMMANDS)
+        return samples, long_history
 
-    samples = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    samples, long_history = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     total_ops = sum(cell["ops"] for sizes in samples.values()
                     for cell in sizes.values())
@@ -209,6 +235,14 @@ def test_decision_path_microbench(benchmark, save_result):
                 name: {str(size): round(cell["reference"], 1)
                        for size, cell in sizes.items()}
                 for name, sizes in samples.items()},
+            "long_history": {
+                "foreign_commands": FOREIGN_COMMANDS,
+                "bucket": LONG_HISTORY_BUCKET,
+                "ops_per_second": {name: round(cell["optimized"], 1)
+                                   for name, cell in long_history.items()},
+                "reference_ops_per_second": {name: round(cell["reference"], 1)
+                                             for name, cell in long_history.items()},
+            },
         })
     write_record(record, RESULTS_DIR)
 
@@ -219,6 +253,15 @@ def test_decision_path_microbench(benchmark, save_result):
             speedup = cell["optimized"] / cell["reference"]
             lines.append(f"{name:<24} {size:>6} {cell['optimized']:>14,.0f} "
                          f"{cell['reference']:>14,.0f} {speedup:>7.1f}x")
+    lines.append("")
+    lines.append(f"long history: bucket {LONG_HISTORY_BUCKET} after {FOREIGN_COMMANDS:,} "
+                 f"commands on other keys (wall clock, not asserted)")
+    lines.append(f"{'operation':<24} {'optimized/s':>14} {'reference/s':>14} "
+                 f"{'vs fresh':>8}")
+    for name, cell in long_history.items():
+        fresh = samples[name][LONG_HISTORY_BUCKET]["optimized"]
+        lines.append(f"{name:<24} {cell['optimized']:>14,.0f} {cell['reference']:>14,.0f} "
+                     f"{cell['optimized'] / fresh:>7.2f}x")
     save_result("micro_decision_path", "\n".join(lines))
 
     # The algorithmic wins must show at the largest bucket size: predecessor

@@ -10,16 +10,20 @@ complete the decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Ballot:
     """A ``(round, node_id)`` ballot, ordered lexicographically.
 
     Using the node id as a tie breaker guarantees two different nodes never
     produce the same ballot, so concurrent recoveries always have a winner.
+
+    All four comparisons are written out (as on
+    :class:`~repro.consensus.timestamps.LogicalTimestamp`) rather than
+    derived by ``functools.total_ordering``, whose derived operators add a
+    Python call per comparison on the acceptors' ballot checks.
     """
 
     round: int
@@ -29,6 +33,21 @@ class Ballot:
         if not isinstance(other, Ballot):
             return NotImplemented
         return (self.round, self.node_id) < (other.round, other.node_id)
+
+    def __le__(self, other: "Ballot") -> bool:
+        if not isinstance(other, Ballot):
+            return NotImplemented
+        return (self.round, self.node_id) <= (other.round, other.node_id)
+
+    def __gt__(self, other: "Ballot") -> bool:
+        if not isinstance(other, Ballot):
+            return NotImplemented
+        return (self.round, self.node_id) > (other.round, other.node_id)
+
+    def __ge__(self, other: "Ballot") -> bool:
+        if not isinstance(other, Ballot):
+            return NotImplemented
+        return (self.round, self.node_id) >= (other.round, other.node_id)
 
     @classmethod
     @lru_cache(maxsize=None)

@@ -263,7 +263,7 @@ class CaesarReplica(ProtocolKernel):
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         whitelist_mask = (None if message.whitelist is None
-                          else self.history.mask_from_ids(message.whitelist))
+                          else self.history.mask_from_ids(command.key, message.whitelist))
         predecessors = compute_predecessor_mask(self.history, command, message.timestamp,
                                                 whitelist_mask)
         self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
@@ -295,8 +295,8 @@ class CaesarReplica(ProtocolKernel):
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         predecessors = compute_predecessor_mask(self.history, command, message.timestamp)
-        predecessors |= self.history.mask_from_ids(message.predecessors)
-        self_index = self.history.index_of(command_id)
+        predecessors |= self.history.mask_from_ids(command.key, message.predecessors)
+        self_index = self.history.index_of(command.key, command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)
         self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
@@ -315,9 +315,9 @@ class CaesarReplica(ProtocolKernel):
                          ok: bool, waited_ms: float, fast: bool) -> None:
         """Send the (possibly delayed) OK/NACK answer for a proposal.
 
-        ``predecessors`` is the interned bitmask computed when the proposal
-        was evaluated; it is translated back to wire-format command ids only
-        at the send below.
+        ``predecessors`` is the bitmask on ``command.key`` computed when the
+        proposal was evaluated; it is translated back to wire-format command
+        ids only at the send below.
         """
         command_id = command.command_id
         if waited_ms > 0:
@@ -345,7 +345,8 @@ class CaesarReplica(ProtocolKernel):
         self.wait_manager.notify_entry(entry)
         reply_cls = FastProposeReply if fast else SlowProposeReply
         self.send(leader, reply_cls(command_id=command_id, ballot=ballot, timestamp=reply_ts,
-                                    predecessors=self.history.ids_from_mask(reply_pred),
+                                    predecessors=self.history.ids_from_mask(command.key,
+                                                                            reply_pred),
                                     ok=ok))
 
     # ------------------------------------------------------- leader: replies
@@ -414,8 +415,7 @@ class CaesarReplica(ProtocolKernel):
             return
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
-        entry = self.history.update(command, message.timestamp,
-                                    self.history.mask_from_ids(message.predecessors),
+        entry = self.history.update(command, message.timestamp, message.predecessors,
                                     CommandStatus.ACCEPTED, message.ballot)
         extra = compute_predecessor_mask(self.history, command, message.timestamp)
         self.consume_cpu(self.cost_model.dependency_cost(extra.bit_count()))
@@ -423,7 +423,8 @@ class CaesarReplica(ProtocolKernel):
         self.wait_manager.notify_entry(entry)
         self.send(src, RetryReply(command_id=command_id, ballot=message.ballot,
                                   timestamp=message.timestamp,
-                                  predecessors=self.history.ids_from_mask(extra)))
+                                  predecessors=self.history.ids_from_mask(command.key,
+                                                                          extra)))
 
     @handles(RetryReply)
     def _on_retry_reply(self, src: int, message: RetryReply) -> None:
@@ -450,8 +451,8 @@ class CaesarReplica(ProtocolKernel):
             return
         self.ballots.observe(command_id, message.ballot)
         self.timestamps.observe(message.timestamp)
-        predecessors = self.history.mask_from_ids(message.predecessors)
-        self_index = self.history.index_of(command_id)
+        predecessors = self.history.mask_from_ids(command.key, message.predecessors)
+        self_index = self.history.index_of(command.key, command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)
         entry = self.history.update(command, message.timestamp, predecessors,

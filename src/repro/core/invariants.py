@@ -16,6 +16,11 @@ simulations can check them continuously:
   property of Generalized Consensus).
 * :func:`check_timestamp_order` — on every replica, conflicting commands are
   executed in increasing final-timestamp order.
+* :func:`check_same_key_predecessors` — every predecessor a replica records
+  is a command on the same key.  Conflicts are per key, so this always holds
+  for the protocol; the history's key-scoped interning relies on it (a
+  predecessor on another key would be numbered in the wrong interner and
+  never be seen delivered).
 
 Each checker returns a list of human-readable violation descriptions; an
 empty list means the invariant holds.
@@ -128,6 +133,28 @@ def check_timestamp_order(replicas: Sequence[CaesarReplica]) -> List[str]:
     return violations
 
 
+def check_same_key_predecessors(replicas: Sequence[CaesarReplica]) -> List[str]:
+    """Every history entry's predecessors are commands on the entry's key.
+
+    A predecessor the replica holds no entry for (never seen, or collected)
+    has no key to compare and is skipped.
+    """
+    violations: List[str] = []
+    for replica in replicas:
+        if replica.crashed:
+            continue
+        history = replica.history
+        for entry in history.entries():
+            key = entry.command.key
+            for pred in entry.predecessors:
+                pred_entry = history.get(pred)
+                if pred_entry is not None and pred_entry.command.key != key:
+                    violations.append(
+                        f"node {replica.node_id}: {entry.command_id} (key {key!r}) has "
+                        f"predecessor {pred} on key {pred_entry.command.key!r}")
+    return violations
+
+
 def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     """Run every CAESAR invariant checker and concatenate the violations."""
     violations: List[str] = []
@@ -135,4 +162,5 @@ def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     violations.extend(check_graph_invariant(replicas))
     violations.extend(check_execution_consistency(replicas))
     violations.extend(check_timestamp_order(replicas))
+    violations.extend(check_same_key_predecessors(replicas))
     return violations

@@ -4,8 +4,8 @@ These are the two auxiliary functions of Figure 3 in the paper:
 
 * :func:`compute_predecessor_mask` — the set of conflicting commands that
   must be ordered before a command proposed at a given timestamp, optionally
-  constrained by a recovery whitelist.  Returns an interned bitmask (see
-  :mod:`repro.core.history`); :func:`compute_predecessors` is the
+  constrained by a recovery whitelist.  Returns a bitmask on the command's
+  key (see :mod:`repro.core.history`); :func:`compute_predecessors` is the
   id-set-returning wrapper kept for cold paths and tests.
 * :class:`WaitManager` — the WAIT function.  In the paper WAIT blocks the
   acceptor thread; in the discrete-event simulation it is implemented as a
@@ -30,7 +30,7 @@ from repro.core.history import CommandHistory, HistoryEntry
 def compute_predecessor_mask(history: CommandHistory, command: Command,
                              timestamp: LogicalTimestamp,
                              whitelist_mask: Optional[int] = None) -> int:
-    """COMPUTEPREDECESSORS from Figure 3, as an interned bitmask.
+    """COMPUTEPREDECESSORS from Figure 3, as a bitmask on ``command.key``.
 
     With no whitelist, the predecessors of ``command`` at ``timestamp`` are
     every conflicting command the node has seen with a smaller timestamp —
@@ -44,7 +44,7 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
     bucket = history.bucket(command.key)
     if bucket is None:
         return 0
-    index = history.index_of(command.command_id)
+    index = bucket.index_of.get(command.command_id)
     self_bit = (1 << index) if index is not None else 0
     if whitelist_mask is None:
         mask = bucket.prefix_mask(timestamp, writes_only=not command.is_write)
@@ -66,9 +66,10 @@ def compute_predecessors(history: CommandHistory, command: Command,
                          timestamp: LogicalTimestamp,
                          whitelist: Optional[FrozenSet[CommandId]]) -> Set[CommandId]:
     """Id-set wrapper around :func:`compute_predecessor_mask`."""
-    whitelist_mask = None if whitelist is None else history.mask_from_ids(whitelist)
+    key = command.key
+    whitelist_mask = None if whitelist is None else history.mask_from_ids(key, whitelist)
     mask = compute_predecessor_mask(history, command, timestamp, whitelist_mask)
-    return set(history.ids_from_mask(mask))
+    return set(history.ids_from_mask(key, mask))
 
 
 class _ParkedProposal:
@@ -167,7 +168,7 @@ class WaitManager:
             timestamp: the proposed timestamp.
             on_resolved: called with ``(ok, waited_ms)`` once WAIT terminates.
         """
-        self_bit = 1 << self._history.intern(command.command_id)
+        self_bit = 1 << self._history.intern(command.key, command.command_id)
         blocker_mask, witness_mask = self._scan_masks(command, timestamp, self_bit)
         if blocker_mask and self._enabled:
             parked = _ParkedProposal(command=command, bit=self_bit,

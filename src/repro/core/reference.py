@@ -6,9 +6,10 @@ plain ``Set[CommandId]`` predecessor sets, an unordered per-key index, and a
 wait condition that re-scans every parked proposal on every history change.
 
 The production implementations in :mod:`repro.core.history` and
-:mod:`repro.core.predecessors` replace the sets with interned integer bitsets,
-the per-key index with timestamp-sorted buckets, and the full re-scan with
-incremental blocker bookkeeping.  The differential test
+:mod:`repro.core.predecessors` replace the sets with integer bitsets over a
+per-key interner (a command's bit is numbered within its key), the per-key
+index with timestamp-sorted buckets, and the full re-scan with incremental
+blocker bookkeeping.  The differential test
 (``tests/test_core_bitset_differential.py``) drives both against random
 command streams and asserts identical predecessor sets, park/OK/NACK
 outcomes and GC behaviour — which is what makes the optimized structures

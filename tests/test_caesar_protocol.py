@@ -13,6 +13,7 @@ import pytest
 from repro.consensus.command import Command
 from repro.consensus.interface import DecisionKind
 from repro.core.history import CommandStatus
+from repro.core.invariants import check_same_key_predecessors
 from tests.conftest import build_caesar_cluster, make_command
 
 
@@ -141,6 +142,7 @@ class TestConflictingCommands:
                     for i in range(5) for k in range(10)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
         assert all(r.commands_executed == 50 for r in replicas)
+        assert check_same_key_predecessors(replicas) == []
         violations = sum(
             len(replicas[i].execution_log.conflicting_order_violations(replicas[j].execution_log))
             for i in range(5) for j in range(i + 1, 5))
@@ -179,6 +181,9 @@ class TestSlowPath:
             len(replicas[i].execution_log.conflicting_order_violations(replicas[j].execution_log))
             for i in range(5) for j in range(i + 1, 5))
         assert violations == 0
+        # Retries carry predecessor sets merged from several replies; they
+        # must still name only same-key commands.
+        assert check_same_key_predecessors(replicas) == []
 
     def test_wait_condition_reduces_slow_decisions(self):
         """The paper's key claim: the wait condition avoids slow decisions under conflicts."""

@@ -11,8 +11,12 @@ evaluate proposals.  At every step both stacks must agree on
 
 * the computed predecessor set of every proposal,
 * every WAIT outcome (park vs immediate, OK vs NACK, resolution order),
-* the parked bookkeeping (count, per-key flags), and
-* GC behaviour (removal, and predecessor sets afterwards).
+* the parked bookkeeping (count, per-key flags),
+* GC behaviour (removal, and predecessor sets afterwards), and
+* the key-scoped interning: every key numbers the ids it has seen densely
+  from 0, an entry's predecessor mask round-trips through its key's
+  interner to the reference set, and no mask is wider than its key's
+  interner.
 
 This equivalence is what makes the interned-bitset representation
 trustworthy: the reference is the executable specification.
@@ -89,12 +93,22 @@ class DualStack:
         for key in KEYS:
             assert self.opt_wait.has_parked(key) == self.ref_wait.has_parked(key)
         assert len(self.optimized) == len(self.reference)
+        for key in KEYS:
+            bucket = self.optimized.bucket(key)
+            if bucket is not None:
+                assert sorted(bucket.index_of.values()) == list(range(len(bucket.id_of)))
         for slot, command in self.commands.items():
             opt_entry = self.optimized.get(command.command_id)
             ref_entry = self.reference.get(command.command_id)
             assert (opt_entry is None) == (ref_entry is None)
             if opt_entry is not None:
+                key = command.key
                 assert set(opt_entry.predecessors) == set(ref_entry.predecessors)
+                assert (self.optimized.mask_from_ids(key, ref_entry.predecessors)
+                        == opt_entry.pred_mask)
+                assert self.optimized.index_of(key, command.command_id) == opt_entry.index
+                assert (opt_entry.pred_mask.bit_length()
+                        <= len(self.optimized.bucket(key).id_of))
                 assert opt_entry.timestamp == ref_entry.timestamp
                 assert opt_entry.status is ref_entry.status
             assert (self.optimized.predecessors_of(command.command_id)

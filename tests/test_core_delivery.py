@@ -35,7 +35,7 @@ class TestBasicDelivery:
         command = make_command(0, 0, key="x")
         delivered = harness.stable(command, ts(1))
         assert [c.command_id for c in delivered] == [command.command_id]
-        assert harness.manager.is_delivered(command.command_id)
+        assert harness.manager.is_delivered("x", command.command_id)
         assert harness.manager.delivered_count == 1
 
     def test_command_waits_for_predecessor(self):
@@ -57,9 +57,11 @@ class TestBasicDelivery:
 
     def test_delivery_respects_timestamp_order_among_ready(self):
         harness = DeliveryHarness()
+        # Predecessors are always same-key commands (conflicts are per key),
+        # so the three commands share one key.
         late = make_command(0, 0, key="x")
-        early = make_command(1, 0, key="y")
-        blocker = make_command(2, 0, key="z")
+        early = make_command(1, 0, key="x")
+        blocker = make_command(2, 0, key="x")
         # Make both late and early wait on the same predecessor, then release it.
         harness.stable(late, ts(9), predecessors={blocker.command_id})
         harness.stable(early, ts(2), predecessors={blocker.command_id})

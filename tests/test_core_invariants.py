@@ -12,6 +12,7 @@ from repro.core.invariants import (
     check_all,
     check_execution_consistency,
     check_graph_invariant,
+    check_same_key_predecessors,
     check_timestamp_order,
 )
 from tests.conftest import build_caesar_cluster, make_command
@@ -115,6 +116,19 @@ class TestCheckersDetectViolations:
         replica.execution_log.append(late)
         violations = check_timestamp_order([replica])
         assert len(violations) == 1
+
+    def test_cross_key_predecessor_detected(self):
+        _, _, replicas = build_caesar_cluster()
+        replica = replicas[0]
+        other = make_command(0, 0, key="y")
+        command = make_command(1, 0, key="x")
+        replica.history.update(other, LogicalTimestamp(1, 0), set(),
+                               CommandStatus.STABLE, Ballot.initial(0))
+        replica.history.update(command, LogicalTimestamp(5, 1), {other.command_id},
+                               CommandStatus.STABLE, Ballot.initial(1))
+        violations = check_same_key_predecessors([replica])
+        assert len(violations) == 1
+        assert "on key 'y'" in violations[0]
 
     def test_crashed_replicas_are_skipped(self):
         _, _, replicas = build_caesar_cluster()

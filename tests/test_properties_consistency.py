@@ -23,6 +23,7 @@ from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
 from repro.core.config import CaesarConfig
+from repro.core.invariants import check_same_key_predecessors
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
@@ -108,6 +109,9 @@ def check_invariants(replicas, submitted, finished):
                 second.execution_log) == []
     snapshots = [r.state_machine.snapshot() for r in replicas]
     assert all(snapshot == snapshots[0] for snapshot in snapshots)
+    if isinstance(replicas[0], CaesarReplica):
+        # Key-scoped interning rests on every predecessor being same-key.
+        assert check_same_key_predecessors(replicas) == []
 
 
 COMMON_SETTINGS = dict(max_examples=12, deadline=None,
